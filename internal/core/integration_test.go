@@ -66,7 +66,8 @@ func TestPrivCountOverTCPWithTLS(t *testing.T) {
 	// TLS handshakes complete lazily on the server side (the tally
 	// reads only once it runs), so every party must dial in its own
 	// goroutine; a sequential dial loop would deadlock on the first
-	// client handshake.
+	// client handshake. Run's slice is positional (SKs first), so the
+	// SKs' connections are accepted before any DC dials.
 	var skWG, setupWG sync.WaitGroup
 	dcCh := make(chan *privcount.DC, numDCs)
 	for i := 0; i < numSKs; i++ {
@@ -84,6 +85,10 @@ func TestPrivCountOverTCPWithTLS(t *testing.T) {
 			}
 		}()
 	}
+	tsConns := make([]wire.Messenger, 0, numDCs+numSKs)
+	for i := 0; i < numSKs; i++ {
+		tsConns = append(tsConns, <-acceptedCh)
+	}
 	for i := 0; i < numDCs; i++ {
 		i := i
 		setupWG.Add(1)
@@ -98,10 +103,9 @@ func TestPrivCountOverTCPWithTLS(t *testing.T) {
 		}()
 	}
 
-	tsConns := make([]wire.Messenger, 0, numDCs+numSKs)
 	resCh := make(chan map[string][]float64, 1)
 	go func() {
-		for i := 0; i < numDCs+numSKs; i++ {
+		for i := 0; i < numDCs; i++ {
 			tsConns = append(tsConns, <-acceptedCh)
 		}
 		res, err := tally.Run(tsConns)

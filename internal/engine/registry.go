@@ -265,7 +265,8 @@ func (e *Engine) reopenFor(r *Round, m *member) *wire.Stream {
 type QuorumPolicy struct {
 	// MinDCs is the minimum number of selected data collectors that
 	// must contribute for a round to complete. Zero means all selected
-	// DCs are required (the strict pre-churn behavior).
+	// DCs are required: any DC failure the recovery cannot repair
+	// fails the round.
 	MinDCs int
 }
 
@@ -286,8 +287,8 @@ func (e *Engine) SetQuorum(q QuorumPolicy) {
 }
 
 // ParseQuorum parses an operator quorum spec: "dcs=K" (or the bare
-// integer K) sets MinDCs=K; the empty string is the strict
-// all-required policy.
+// integer K) sets MinDCs=K; the empty string requires every selected
+// DC.
 func ParseQuorum(spec string) (QuorumPolicy, error) {
 	var q QuorumPolicy
 	if spec == "" {

@@ -199,8 +199,8 @@ func Aggregate(schema *Schema, vectors ...[]uint64) (map[string][]float64, error
 }
 
 // AggregateSum decodes an already-telescoped modular accumulator — the
-// streaming tolerant flow folds every report and blinding vector into
-// one sum chunk-wise instead of buffering them, then decodes it here.
+// tally folds every report and blinding vector into one sum chunk-wise
+// instead of buffering them, then decodes it here.
 func AggregateSum(schema *Schema, sum []uint64) (map[string][]float64, error) {
 	if len(sum) != schema.Size() {
 		return nil, fmt.Errorf("privcount: aggregate sum length %d, want %d", len(sum), schema.Size())

@@ -16,7 +16,9 @@
 //
 //   - TallyConfig / Tally: one round from the TS's perspective,
 //     including the MinDCs quorum floor and the engine's Recover
-//     callback; Tally.Absent annotates a degraded round.
+//     callback (nil: any party failure fails the round); Tally.Run
+//     takes a positional party slice — SKs first, then DCs — and
+//     Tally.Absent annotates a degraded round.
 //   - DC: the per-relay collector — Setup distributes sealed blinding
 //     shares, Increment counts events, Finish reports noised blinded
 //     totals.
@@ -40,10 +42,13 @@
 //   - The TS never holds a key that opens a sealed share box, and
 //     never more than one chunk of boxes per DC in flight.
 //   - A round may complete without a DC (its counts, blinds, and noise
-//     share are all excluded) but never without an SK.
-//   - The tolerant flow's TS residency is one schema-sized modular
-//     accumulator plus O(chunk) per in-flight stream: DC reports are
-//     collected concurrently, each buffered whole on spill storage
+//     share are all excluded) but never without an SK. Every DC
+//     carries an equal noise weight provisioned at the quorum floor
+//     (1/MinDCs), so any DC set the quorum admits reports at least the
+//     calibrated sigma.
+//   - The TS's residency is one schema-sized modular accumulator plus
+//     O(chunk) per in-flight stream: DC reports are collected
+//     concurrently, each buffered whole on spill storage
 //     (internal/spill) and folded into the striped accumulator only
 //     once complete — a DC that dies mid-report contributes nothing,
 //     which the telescoping sum requires, since its blinding is

@@ -51,19 +51,6 @@ func sendValues(m wire.Messenger, v []uint64) error {
 	})
 }
 
-// recvValues collects a chunked vector of n slots.
-func recvValues(m wire.Messenger, n int) ([]uint64, error) {
-	out := make([]uint64, 0, n)
-	err := recvValuesFunc(m, n, func(_ int, vals []uint64) error {
-		out = append(out, vals...)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // recvValuesFunc consumes chunk frames until n slots have arrived,
 // invoking fn for each chunk as it lands — for callers that fold or
 // spill the vector instead of buffering it whole. Chunks must tile

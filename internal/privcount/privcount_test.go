@@ -315,7 +315,11 @@ func TestDCReportIsBlinded(t *testing.T) {
 	go func() {
 		var rep ReportMsg
 		tsSide.Expect(kindReport, &rep)
-		vals, _ := recvValues(tsSide, rep.N)
+		var vals []uint64
+		recvValuesFunc(tsSide, rep.N, func(_ int, v []uint64) error {
+			vals = append(vals, v...)
+			return nil
+		})
 		done <- vals
 	}()
 	if err := dc.Finish(); err != nil {
@@ -401,27 +405,6 @@ func TestIncrementBeforeSetupFails(t *testing.T) {
 	}
 	if err := dc.Finish(); err == nil {
 		t.Fatal("finish before setup must fail")
-	}
-}
-
-func TestNoiseWeightsNormalized(t *testing.T) {
-	stats := []StatConfig{{Name: "s", Bins: []string{""}}}
-	tally, _ := NewTally(TallyConfig{
-		Round: 1, Stats: stats, NumDCs: 3, NumSKs: 1,
-		NoiseWeights: map[string]float64{"a": 2, "b": 2, "c": 0},
-	})
-	w := tally.normalizedWeights([]string{"a", "b", "c"})
-	if math.Abs(w["a"]-0.5) > 1e-12 || math.Abs(w["c"]) > 1e-12 {
-		t.Fatalf("weights: %+v", w)
-	}
-	// Degenerate all-zero weights fall back to equal.
-	tally2, _ := NewTally(TallyConfig{
-		Round: 1, Stats: stats, NumDCs: 2, NumSKs: 1,
-		NoiseWeights: map[string]float64{"a": 0, "b": 0},
-	})
-	w2 := tally2.normalizedWeights([]string{"a", "b"})
-	if math.Abs(w2["a"]-0.5) > 1e-12 {
-		t.Fatalf("fallback weights: %+v", w2)
 	}
 }
 

@@ -29,26 +29,41 @@ func tallyWith(t *testing.T, cfg TallyConfig, parties func(conns []*wire.Conn)) 
 		done <- err
 	}()
 	parties(partyConns)
-	return <-done
+	err = <-done
+	// Unblock any party goroutine still waiting on the aborted round.
+	for _, c := range tsConns {
+		c.Close()
+	}
+	return err
 }
 
 var oneStat = []StatConfig{{Name: "s", Bins: []string{""}, Sigma: 0}}
 
+// Run's slice is positional (SKs first, then DCs), so each rejection
+// test below runs a real SK in slot 0: the tally configures it before
+// it reaches the misbehaving DC slot.
+
 func TestTallyRejectsUnknownRole(t *testing.T) {
 	err := tallyWith(t, TallyConfig{Round: 1, Stats: oneStat, NumDCs: 1, NumSKs: 1},
 		func(conns []*wire.Conn) {
-			conns[0].Send(kindRegister, RegisterMsg{Role: "mallory", Name: "m"})
+			sk, _ := NewSK("sk", conns[0])
+			go sk.Serve() // errors once the round aborts; ignored
+			conns[1].Send(kindRegister, RegisterMsg{Role: "mallory", Name: "m"})
 		})
-	if err == nil || !strings.Contains(err.Error(), "unknown role") {
-		t.Fatalf("want unknown-role error, got %v", err)
+	if err == nil || !strings.Contains(err.Error(), `registered as "mallory"`) {
+		t.Fatalf("want an error naming role \"mallory\", got %v", err)
 	}
 }
 
 func TestTallyRejectsDuplicateDCNames(t *testing.T) {
 	err := tallyWith(t, TallyConfig{Round: 1, Stats: oneStat, NumDCs: 2, NumSKs: 1},
 		func(conns []*wire.Conn) {
-			conns[0].Send(kindRegister, RegisterMsg{Role: RoleDC, Name: "same"})
-			conns[1].Send(kindRegister, RegisterMsg{Role: RoleDC, Name: "same"})
+			sk, _ := NewSK("sk", conns[0])
+			go sk.Serve()
+			// The first "same" completes its setup (the tally configures
+			// it and relays its shares) before the second registers.
+			go NewDC("same", conns[1], nil).Setup()
+			conns[2].Send(kindRegister, RegisterMsg{Role: RoleDC, Name: "same"})
 		})
 	if err == nil || !strings.Contains(err.Error(), "duplicate DC") {
 		t.Fatalf("want duplicate-DC error, got %v", err)
@@ -69,34 +84,24 @@ func TestTallyRejectsWrongRoleCounts(t *testing.T) {
 	// Two SKs registered where one DC + one SK expected.
 	err := tallyWith(t, TallyConfig{Round: 1, Stats: oneStat, NumDCs: 1, NumSKs: 1},
 		func(conns []*wire.Conn) {
-			var wg sync.WaitGroup
-			for i, c := range conns {
-				wg.Add(1)
-				go func(i int, c *wire.Conn) {
-					defer wg.Done()
-					key, _ := NewSealKey()
-					c.Send(kindRegister, RegisterMsg{
-						Role: RoleSK, Name: skNameFor(i), SealPub: key.Public(),
-					})
-				}(i, c)
-			}
-			wg.Wait()
+			sk, _ := NewSK("a-sk", conns[0])
+			go sk.Serve()
+			key, _ := NewSealKey()
+			conns[1].Send(kindRegister, RegisterMsg{Role: RoleSK, Name: "b-sk", SealPub: key.Public()})
 		})
-	if err == nil || !strings.Contains(err.Error(), "registered") {
+	if err == nil || !strings.Contains(err.Error(), `registered as "sk", want "dc"`) {
 		t.Fatalf("want count-mismatch error, got %v", err)
 	}
 }
-
-func skNameFor(i int) string { return string(rune('a'+i)) + "-sk" }
 
 func TestTallyRejectsWrongRoundReport(t *testing.T) {
 	err := tallyWith(t, TallyConfig{Round: 5, Stats: oneStat, NumDCs: 1, NumSKs: 1},
 		func(conns []*wire.Conn) {
 			// Run a real SK.
-			sk, _ := NewSK("sk", conns[1])
+			sk, _ := NewSK("sk", conns[0])
 			go sk.Serve()
 			// A DC that reports the wrong round.
-			c := conns[0]
+			c := conns[1]
 			c.Send(kindRegister, RegisterMsg{Role: RoleDC, Name: "dc"})
 			var cfg ConfigureMsg
 			if c.Expect(kindConfigure, &cfg) != nil {
@@ -124,9 +129,9 @@ func TestTallyRejectsWrongRoundReport(t *testing.T) {
 func TestTallyRejectsMissingBox(t *testing.T) {
 	err := tallyWith(t, TallyConfig{Round: 1, Stats: oneStat, NumDCs: 1, NumSKs: 1},
 		func(conns []*wire.Conn) {
-			sk, _ := NewSK("sk", conns[1])
+			sk, _ := NewSK("sk", conns[0])
 			go sk.Serve() // will fail when the round aborts; ignore
-			c := conns[0]
+			c := conns[1]
 			c.Send(kindRegister, RegisterMsg{Role: RoleDC, Name: "dc"})
 			var cfg ConfigureMsg
 			if c.Expect(kindConfigure, &cfg) != nil {
@@ -225,5 +230,89 @@ func TestTolerantNoiseWeightProvisionsQuorumFloor(t *testing.T) {
 			t.Errorf("weightFor with %d DCs, quorum floor %d = %v, want %v",
 				tc.numDCs, tc.minDCs, got, tc.want)
 		}
+	}
+}
+
+// kindRecorder records the frame kinds the tally sends on one party's
+// messenger.
+type kindRecorder struct {
+	wire.Messenger
+	mu    sync.Mutex
+	kinds []string
+}
+
+func (r *kindRecorder) Send(kind string, v any) error {
+	r.mu.Lock()
+	r.kinds = append(r.kinds, kind)
+	r.mu.Unlock()
+	return r.Messenger.Send(kind, v)
+}
+
+func (r *kindRecorder) sent(kind string) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, k := range r.kinds {
+		if k == kind {
+			return true
+		}
+	}
+	return false
+}
+
+// TestNilRecoverReportDeathFailsRound: with no Recover callback a DC is
+// never declared absent, even when MinDCs would admit the round without
+// it. A DC whose report stream dies mid-upload must fail the round with
+// that DC's named error before the SKs are asked for their sums — not
+// panic, and not complete with the DC annotated absent.
+func TestNilRecoverReportDeathFailsRound(t *testing.T) {
+	stats := []StatConfig{{Name: "s", Bins: []string{"a", "b", "c", "d", "e", "f", "g", "h"}, Sigma: 0}}
+	tally, err := NewTally(TallyConfig{Round: 3, Stats: stats, NumDCs: 2, NumSKs: 1, MinDCs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsSK, skSide := wire.Pipe()
+	tsGood, goodSide := wire.Pipe()
+	tsDying, dyingSide := wire.Pipe()
+	skRec := &kindRecorder{Messenger: tsSK}
+	tsConns := []wire.Messenger{skRec, tsGood, tsDying}
+
+	sk, _ := NewSK("sk", skSide)
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() { defer wg.Done(); sk.Serve() }()
+	go func() {
+		defer wg.Done()
+		good := NewDC("dc-good", goodSide, nil)
+		if good.Setup() == nil {
+			good.Increment("s", 0, 1)
+			good.Finish()
+		}
+	}()
+	go func() {
+		// A real setup, then a report that announces 8 slots, delivers
+		// 4, and dies.
+		defer wg.Done()
+		dying := NewDC("dc-dying", dyingSide, nil)
+		if dying.Setup() != nil {
+			return
+		}
+		dyingSide.Send(kindReport, ReportMsg{From: "dc-dying", Round: dying.Round(), N: 8})
+		dyingSide.Send(kindChunk, ValueChunkMsg{Off: 0, Values: make([]uint64, 4)})
+		dyingSide.Close()
+	}()
+
+	_, err = tally.Run(tsConns)
+	for _, m := range tsConns {
+		m.Close()
+	}
+	wg.Wait()
+	if err == nil {
+		t.Fatalf("round completed with a dead DC and no Recover (absent: %v)", tally.Absent())
+	}
+	if !strings.Contains(err.Error(), "report from DC dc-dying") {
+		t.Fatalf("error %q does not name the dying DC's report", err)
+	}
+	if skRec.sent(kindCollect) {
+		t.Fatal("tally asked the SKs for their sums after a DC report failed")
 	}
 }

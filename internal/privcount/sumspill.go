@@ -8,9 +8,9 @@ import (
 )
 
 // u64Spill buffers one party's counter vector on spill storage — eight
-// little-endian bytes per slot — so the tolerant flow's per-DC report
-// buffers (which must be held whole until the DC is known to have
-// completed) cost scratch storage, not heap. One goroutine owns each
+// little-endian bytes per slot — so the tally's per-DC report buffers
+// (which must be held whole until the DC is known to have completed)
+// cost scratch storage, not heap. One goroutine owns each
 // buffer.
 type u64Spill struct {
 	st      *spill.Store

@@ -44,7 +44,10 @@
 // # Key types
 //
 //   - Config: one round's parameters, including the MinDCs quorum
-//     floor and the engine's Recover callback for churn tolerance.
+//     floor and the engine's Recover callback for churn tolerance
+//     (nil: any party failure fails the round).
+//   - Tally.Run: the round over a positional party slice — CPs first,
+//     then DCs.
 //   - Tally: the TS role — chunk-pipelined relay and verifier; it
 //     holds no decryption capability and never sees an unencrypted
 //     bin.
@@ -57,11 +60,11 @@
 //   - Every vector phase travels as a header plus bounded chunks or
 //     blocks; no phase of the CP chain holds a whole vector of parsed
 //     ciphertexts. Inter-pass shuffle vectors, the pre-decrypt final
-//     vector, the TS's combined gather table, and the tolerant flow's
-//     per-DC table buffers all live as encoded bytes in unlinked
-//     temp-file spills (internal/spill, -spill-dir), so TS residency
-//     is O(chunk) end to end — a spill read failure mid-re-stream
-//     latches the round failer and aborts cleanly.
+//     vector, the TS's combined gather table, and the per-DC table
+//     buffers all live as encoded bytes in unlinked temp-file spills
+//     (internal/spill, -spill-dir), so TS residency is O(chunk) end
+//     to end — a spill read failure mid-re-stream latches the round
+//     failer and aborts cleanly.
 //   - The tally's per-chunk verification and combination (noise bit
 //     proofs, blind DLEQs, share RLCs, homomorphic merges, recovery)
 //     runs on bounded ordered worker pools (internal/parallel) sized
@@ -81,8 +84,8 @@
 //   - A round may complete without a DC (reduced coverage, annotated)
 //     but never without a CP: the joint key is an n-of-n threshold.
 //   - A DC's upload can be restarted on a rejoined session until its
-//     table completes: the tolerant flow buffers each table privately
-//     and merges it into the shared combination only as a whole, so a
-//     DC declared absent contributed nothing — Result.AbsentDCs is an
+//     table completes: the tally buffers each table privately and
+//     merges it into the shared combination only as a whole, so a DC
+//     declared absent contributed nothing — Result.AbsentDCs is an
 //     exact coverage boundary, never "partially included".
 package psc

@@ -82,16 +82,6 @@ func (g grid) passes(configured int) int {
 // rowPass reports whether pass p (1-based) partitions contiguously.
 func rowPass(p int) bool { return p%2 == 1 }
 
-// colLen returns the element count of column c: every column exists in
-// every row except that columns at or past the ragged last row's end
-// miss it.
-func (g grid) colLen(c int) int {
-	if c < g.last {
-		return g.rows
-	}
-	return g.rows - 1
-}
-
 // elemsBefore returns how many elements the columns [0, c) hold.
 func (g grid) elemsBefore(c int) int {
 	if c <= g.last {

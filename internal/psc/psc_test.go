@@ -2,6 +2,7 @@ package psc
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -503,5 +504,90 @@ func TestTolerantAbsentDCContributesNothing(t *testing.T) {
 		}
 	case err := <-errCh:
 		t.Fatalf("tally: %v", err)
+	}
+}
+
+// kindRecorder records the frame kinds the tally sends on one party's
+// messenger.
+type kindRecorder struct {
+	wire.Messenger
+	mu    sync.Mutex
+	kinds []string
+}
+
+func (r *kindRecorder) Send(kind string, v any) error {
+	r.mu.Lock()
+	r.kinds = append(r.kinds, kind)
+	r.mu.Unlock()
+	return r.Messenger.Send(kind, v)
+}
+
+// TestNilRecoverTableDeathFailsRound: with no Recover callback a DC is
+// never declared absent, even when MinDCs would admit the round without
+// it. A DC whose table stream dies mid-upload must fail the round with
+// that DC's named error before the CPs see anything past their
+// configuration — not panic, and not complete with the DC in
+// Result.AbsentDCs.
+func TestNilRecoverTableDeathFailsRound(t *testing.T) {
+	cfg := Config{
+		Round: 8, Bins: 64, NoisePerCP: 0, ShuffleProofRounds: 2,
+		NumDCs: 2, NumCPs: 1, MinDCs: 1, ChunkElems: 16,
+	}
+	tally, err := NewTally(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsCP, cpSide := wire.Pipe()
+	tsGood, goodSide := wire.Pipe()
+	tsDying, dyingSide := wire.Pipe()
+	cpRec := &kindRecorder{Messenger: tsCP}
+	tsConns := []wire.Messenger{cpRec, tsGood, tsDying}
+
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() { defer wg.Done(); NewCP("cp-0", cpSide, nil).Serve() }()
+	go func() {
+		defer wg.Done()
+		good := NewDC("dc-good", goodSide)
+		if good.Setup() == nil {
+			good.Observe("only-item")
+			good.Finish()
+		}
+	}()
+	go func() {
+		// Registers, announces a full table, uploads one chunk, dies.
+		defer wg.Done()
+		dyingSide.Send(kindRegister, RegisterMsg{Role: RoleDC, Name: "dc-dying"})
+		var cc ConfigureMsg
+		if dyingSide.Expect(kindConfig, &cc) != nil {
+			return
+		}
+		joint, _, err := elgamal.ParsePoint(cc.JointKey)
+		if err != nil {
+			return
+		}
+		cts, _ := elgamal.BatchEncryptBits(joint, make([]bool, cc.ChunkElems))
+		dyingSide.Send(kindTable, VectorHeader{From: "dc-dying", Round: cc.Round, N: cc.Bins})
+		dyingSide.Send(kindChunk, ChunkMsg{Off: 0, Count: len(cts), Data: encodeVector(cts)})
+		dyingSide.Close()
+	}()
+
+	res, err := tally.Run(tsConns)
+	for _, m := range tsConns {
+		m.Close()
+	}
+	wg.Wait()
+	if err == nil {
+		t.Fatalf("round completed with a dead DC and no Recover: %+v", res)
+	}
+	if !strings.Contains(err.Error(), "table from DC dc-dying") {
+		t.Fatalf("error %q does not name the dying DC's table", err)
+	}
+	cpRec.mu.Lock()
+	defer cpRec.mu.Unlock()
+	for _, k := range cpRec.kinds {
+		if k != kindConfig {
+			t.Fatalf("tally sent %q to the CP after a DC table failed", k)
+		}
 	}
 }

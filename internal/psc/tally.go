@@ -23,9 +23,8 @@ var gatherFeedTestHook func(*gatherStore)
 // CPs"). It relays and verifies; it holds no decryption capability and
 // never sees an unencrypted bin.
 //
-// Every vector phase is chunked and pipelined: DC tables are combined
-// as their chunks arrive (strict flow) or buffered per DC and merged
-// whole (tolerant flow, so an absent DC contributes nothing), each
+// Every vector phase is chunked and pipelined: DC tables are buffered
+// per DC and merged whole (so an absent DC contributes nothing), each
 // CP's verified blinded blocks are forwarded to the next CP while the
 // upstream CP is still mixing, and decryption shares are verified and
 // recovered per chunk from all CPs concurrently. The shuffle itself
@@ -91,10 +90,10 @@ type roundParties struct {
 
 // Run executes one round over established messengers (one per party —
 // dedicated connections or per-round streams of multiplexed sessions).
-// Without cfg.Recover any party failure fails the round and the
-// messenger order is free; with it, the slice must be CPs first (see
-// Config.Recover) and DC failures degrade the round down to the MinDCs
-// quorum floor.
+// The slice is positional: the NumCPs computation parties first, then
+// the DCs, which is how the engine orders them. A DC failure goes to
+// cfg.Recover and can degrade the round down to the MinDCs quorum
+// floor; without Recover any party failure fails the round.
 func (t *Tally) Run(parties []wire.Messenger) (Result, error) {
 	if len(parties) != t.cfg.NumDCs+t.cfg.NumCPs {
 		return Result{}, fmt.Errorf("psc ts: have %d connections, want %d DCs + %d CPs",
@@ -105,19 +104,13 @@ func (t *Tally) Run(parties []wire.Messenger) (Result, error) {
 	// them homomorphically on the spilled gather store: per-bin
 	// ciphertext sums turn into OR in the exponent, and the running
 	// combination lives as encoded bytes on spill storage, not parsed
-	// group elements on the heap. The strict flow merges chunks as they
-	// land; the tolerant flow buffers each DC's table (also spilled)
-	// and merges it once complete (see collectTableBuffered).
+	// group elements on the heap. Each DC's table is buffered (also
+	// spilled) and merged once complete (see collectTableBuffered).
 	gs, err := newGatherStore(t.cfg.Bins, t.cfg.ChunkElems)
 	if err != nil {
 		return Result{}, fmt.Errorf("psc ts: gather spill: %w", err)
 	}
-	var rp roundParties
-	if t.cfg.Recover == nil {
-		rp, err = t.gatherStrict(parties, gs)
-	} else {
-		rp, err = t.gatherTolerant(parties, gs)
-	}
+	rp, err := t.gather(parties, gs)
 	if err != nil {
 		gs.Close()
 		return Result{}, err
@@ -288,78 +281,13 @@ func (t *Tally) Run(parties []wire.Messenger) (Result, error) {
 	}, nil
 }
 
-// gatherStrict is the pre-churn phase driver: order-agnostic
-// registration, configuration, and table collection, with any party
-// failure failing the round.
-func (t *Tally) gatherStrict(parties []wire.Messenger, gs *gatherStore) (roundParties, error) {
-	rp := roundParties{cpM: make(map[string]wire.Messenger), cpKeys: make(map[string]elgamal.Point)}
-	dcM := make(map[string]wire.Messenger)
-	var dcNames []string
-	for _, m := range parties {
-		var reg RegisterMsg
-		if err := m.Expect(kindRegister, &reg); err != nil {
-			return rp, fmt.Errorf("psc ts: registration: %w", err)
-		}
-		switch reg.Role {
-		case RoleDC:
-			if _, dup := dcM[reg.Name]; dup {
-				return rp, fmt.Errorf("psc ts: duplicate DC %q", reg.Name)
-			}
-			dcM[reg.Name] = m
-			dcNames = append(dcNames, reg.Name)
-		case RoleCP:
-			if err := rp.addCP(reg, m); err != nil {
-				return rp, err
-			}
-		default:
-			return rp, fmt.Errorf("psc ts: unknown role %q", reg.Role)
-		}
-	}
-	if len(dcNames) != t.cfg.NumDCs || len(rp.cpNames) != t.cfg.NumCPs {
-		return rp, fmt.Errorf("psc ts: registered %d DCs and %d CPs, want %d and %d",
-			len(dcNames), len(rp.cpNames), t.cfg.NumDCs, t.cfg.NumCPs)
-	}
-	sort.Strings(dcNames)
-	cpCfg, dcCfg, err := t.buildConfigs(&rp)
-	if err != nil {
-		return rp, err
-	}
-	for _, n := range rp.cpNames {
-		if err := rp.cpM[n].Send(kindConfig, cpCfg); err != nil {
-			return rp, fmt.Errorf("psc ts: configure CP %s: %w", n, err)
-		}
-	}
-	for _, n := range dcNames {
-		if err := dcM[n].Send(kindConfig, dcCfg); err != nil {
-			return rp, fmt.Errorf("psc ts: configure DC %s: %w", n, err)
-		}
-	}
-	tableErrs := make(chan error, len(dcNames))
-	for _, n := range dcNames {
-		go func(name string, m wire.Messenger) {
-			tableErrs <- t.collectTable(name, m, gs)
-		}(n, dcM[n])
-	}
-	// Fail fast on the first error: the caller aborts the round, which
-	// resets every stream and unwinds the remaining collectors (their
-	// sends land in the buffered channel). Waiting for all of them here
-	// would wedge the round on a stalled DC with no deadline armed.
-	for range dcNames {
-		if err := <-tableErrs; err != nil {
-			return rp, err
-		}
-	}
-	return rp, nil
-}
-
-// gatherTolerant is the churn-aware phase driver installed by the
-// engine: CPs register positionally (all required), then each DC's
-// register/configure/table exchange runs in its own goroutine with the
-// engine's recovery callback deciding — per failed DC — between a
-// restart on a rejoined session, a declared absence, and failing the
-// round. The round proceeds only if the surviving tables meet the
-// quorum floor and still cover every bin.
-func (t *Tally) gatherTolerant(parties []wire.Messenger, gs *gatherStore) (roundParties, error) {
+// gather is the registration/configuration/table phase: CPs register
+// positionally (all required), then each DC's register/configure/table
+// exchange runs in its own goroutine with the recovery callback
+// deciding — per failed DC — between a restart on a rejoined session,
+// a declared absence, and failing the round. The round proceeds only if
+// the surviving tables meet the quorum floor and still cover every bin.
+func (t *Tally) gather(parties []wire.Messenger, gs *gatherStore) (roundParties, error) {
 	rp := roundParties{cpM: make(map[string]wire.Messenger), cpKeys: make(map[string]elgamal.Point)}
 	for i := 0; i < t.cfg.NumCPs; i++ {
 		var reg RegisterMsg
@@ -466,7 +394,7 @@ func (t *Tally) runDC(idx int, m wire.Messenger, dcCfg ConfigureMsg, gs *gatherS
 	if err == nil {
 		return name, false, nil
 	}
-	repl, absentOK := t.cfg.Recover(idx, name, true)
+	repl, absentOK := t.recoverDC(idx, name, true)
 	if repl != nil {
 		retryName, retryErr := attempt(repl)
 		if retryName != "" {
@@ -476,7 +404,7 @@ func (t *Tally) runDC(idx int, m wire.Messenger, dcCfg ConfigureMsg, gs *gatherS
 			return name, false, nil
 		}
 		err = retryErr
-		_, absentOK = t.cfg.Recover(idx, name, false)
+		_, absentOK = t.recoverDC(idx, name, false)
 	}
 	if name == "" {
 		name = fmt.Sprintf("dc#%d", idx-t.cfg.NumCPs)
@@ -485,6 +413,16 @@ func (t *Tally) runDC(idx int, m wire.Messenger, dcCfg ConfigureMsg, gs *gatherS
 		return name, true, nil
 	}
 	return name, false, err
+}
+
+// recoverDC consults cfg.Recover about the failed DC at party index
+// idx. Without a Recover callback a failed DC is never replaced and
+// never absent, so its error fails the round.
+func (t *Tally) recoverDC(idx int, name string, canRetry bool) (replacement wire.Messenger, absentOK bool) {
+	if t.cfg.Recover == nil {
+		return nil, false
+	}
+	return t.cfg.Recover(idx, name, canRetry)
 }
 
 // addCP records one computation party's registration.
@@ -541,59 +479,9 @@ func (t *Tally) buildConfigs(rp *roundParties) (cpCfg, dcCfg ConfigureMsg, err e
 	return cpCfg, dcCfg, nil
 }
 
-// collectTable streams one DC's table into the shared combination as
-// chunks arrive — the strict flow's memory-lean path, holding only the
-// in-flight chunks. That is safe only because any DC failure fails
-// the whole strict round: a partially merged table can never outlive
-// its round as a completed result. The receive loop stays on the
-// network; each chunk's point parsing and homomorphic merge runs on the
-// gather shard, bounded by the pool depth, so concurrent DC streams
-// decode and merge on every schedulable core.
-func (t *Tally) collectTable(name string, m wire.Messenger, gs *gatherStore) error {
-	var hdr VectorHeader
-	if err := m.Expect(kindTable, &hdr); err != nil {
-		return fmt.Errorf("psc ts: table from DC %s: %w", name, err)
-	}
-	if hdr.N != t.cfg.Bins {
-		return fmt.Errorf("psc ts: DC %s sent %d bins, want %d", name, hdr.N, t.cfg.Bins)
-	}
-	merge := parallel.NewOrdered[struct{}](parallel.PoolSize(), 2*parallel.PoolSize(), "psc-gather")
-	var mergeErr error
-	mergeDone := make(chan struct{})
-	go func() {
-		// Drains concurrently with the receive loop so the shard's
-		// depth bound throttles the loop instead of wedging it.
-		defer close(mergeDone)
-		for r := range merge.Out() {
-			if r.Err != nil && mergeErr == nil {
-				mergeErr = r.Err
-			}
-		}
-	}()
-	err := recvVectorRawFunc(m, t.cfg.Bins, func(off, count int, data []byte) error {
-		merge.Submit(func() (struct{}, error) {
-			cts, err := decodeVector(data, count)
-			if err != nil {
-				return struct{}{}, err
-			}
-			return struct{}{}, gs.merge(off, cts)
-		})
-		return nil
-	})
-	merge.Close()
-	<-mergeDone
-	if err == nil {
-		err = mergeErr
-	}
-	if err != nil {
-		return fmt.Errorf("psc ts: table from DC %s: %w", name, err)
-	}
-	return nil
-}
-
 // collectTableBuffered streams one DC's table into a private buffer and
-// merges it into the shared combination only once it is complete — the
-// tolerant flow's path. Ciphertext sums cannot be unpicked, so a DC the
+// merges it into the shared combination only once it is complete.
+// Ciphertext sums cannot be unpicked, so a DC the
 // quorum policy later declares absent must never have touched the
 // shared sum: buffering makes Result.AbsentDCs an exact coverage
 // statement ("none of this DC's table is included"). The buffer is

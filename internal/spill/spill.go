@@ -1,10 +1,10 @@
 // Package spill provides bounded-residency record stores: fixed-slot
 // vectors written sequentially by one phase of a protocol and read back
 // — contiguously or strided — by the next, holding O(1) records in
-// memory. The PSC shuffle's inter-pass vectors, the tally's gather
-// table and pre-decrypt buffer, and the PrivCount tolerant flow's
-// per-DC report buffers all live here, which is what takes a tally
-// server's residency from O(bins) to O(chunk) end to end.
+// memory. The PSC shuffle's inter-pass vectors, the PSC tally's gather
+// table, per-DC table buffers and pre-decrypt buffer, and the PrivCount
+// tally's per-DC report buffers all live here, which is what takes a
+// tally server's residency from O(bins) to O(chunk) end to end.
 //
 // Records live in an unlinked temp file (the kernel reclaims the
 // blocks when the handle closes, however the process exits), falling
